@@ -4,7 +4,8 @@ Three measurements back the columnar CSR storage claims
 (``docs/columnar.md``):
 
 * **context build** — building every ``MatchContext`` of a full label
-  group (rows + the group's complete signature-count table) through
+  group (int adjacency rows + the group's complete signature-count
+  table) through
   the shared :class:`~repro.graphs.columnar.ColumnarGroup` vs a
   faithful replica of the pre-columnar per-edge Python loops. The
   acceptance bar is >= 3x group throughput on the synthetic
@@ -17,9 +18,11 @@ Three measurements back the columnar CSR storage claims
   context/plan build, then the steady cache-hit state), ``fresh``
   pays a context + plan build on every call (the regime that
   motivated the old ``SMALL_HOST_NODES = 24`` delegation), and
-  ``warm`` reuses prebuilt state (pure enumeration). The acceptance
-  bar — fast >= 1.0x reference on hosts of <= 24 nodes — applies to
-  the ``ad_hoc`` arm, which is why the delegation threshold is gone.
+  ``warm`` reuses prebuilt state (pure enumeration). The baseline is
+  the pure-Python reference search in ``tests/oracles.py``. The
+  acceptance bar — fast >= 1.0x reference on hosts of <= 24 nodes —
+  applies to the ``ad_hoc`` arm, which is why the delegation threshold
+  is gone.
 * **stacked forward** — one whole-shard GNN forward per size bucket
   (``predict_proba_db`` fed by the columnar mirror) vs the per-graph
   ``predict_proba`` loop, bit-identical by assertion.
@@ -44,13 +47,12 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_columnar.py`
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import SEED, trained
-from repro.config import MATCH_FAST, MATCH_REFERENCE
 from repro.graphs.columnar import ColumnarDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching import bitset
 from repro.matching.context import MatchContext, MatchPlan
 from repro.matching.isomorphism import find_isomorphisms
+from tests.oracles import find_isomorphisms_reference
 
 #: label-group datasets of the context-build claim
 DATASETS = ("mutagenicity", "enzymes")
@@ -81,7 +83,7 @@ class LegacyContextBuild:
         self.graph = graph
         n = graph.n_nodes
         self.n = n
-        self.words = bitset.n_words(n)
+        self.words = (n + 63) >> 6
         self.node_types = np.asarray(graph.node_types, dtype=np.int64)
         self.degrees = np.fromiter(
             (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
@@ -130,6 +132,7 @@ def build_columnar(graphs, keys):
     out = []
     for i, g in enumerate(graphs):
         ctx = MatchContext(g, columnar=col.slice_of(i))
+        ctx.rows("all")
         for key in keys:
             ctx.sig_counts(key)
         out.append(ctx)
@@ -171,7 +174,8 @@ def context_build_case(label: str, graphs, rounds: int = 5) -> dict:
     for a, b in zip(legacy, fast):
         assert np.array_equal(a.degrees, b.degrees)
         for v in range(a.n):
-            assert np.array_equal(a.all_rows[v], b.all_row(v))
+            words = a.all_rows[v].astype("<u8").tobytes()
+            assert int.from_bytes(words, "little") == b.rows("all")[v]
         for key in keys:
             assert np.array_equal(a.sig_counts(key), b.sig_counts(key))
 
@@ -236,7 +240,7 @@ def crossover_case(sizes=HOST_SIZES, reps: int = 40, seed: int = SEED) -> list:
         def run_reference():
             count = 0
             for p in patterns:
-                for _ in find_isomorphisms(p, host, backend=MATCH_REFERENCE):
+                for _ in find_isomorphisms_reference(p, host):
                     count += 1
             return count
 
@@ -245,7 +249,7 @@ def crossover_case(sizes=HOST_SIZES, reps: int = 40, seed: int = SEED) -> list:
             # the process-wide plan cache
             count = 0
             for p in patterns:
-                for _ in find_isomorphisms(p, host, backend=MATCH_FAST):
+                for _ in find_isomorphisms(p, host):
                     count += 1
             return count
 
@@ -256,9 +260,7 @@ def crossover_case(sizes=HOST_SIZES, reps: int = 40, seed: int = SEED) -> list:
             for p in patterns:
                 ctx = MatchContext(host)
                 plan = MatchPlan(p)
-                for _ in find_isomorphisms(
-                    p, host, backend=MATCH_FAST, context=ctx, plan=plan
-                ):
+                for _ in find_isomorphisms(p, host, context=ctx, plan=plan):
                     count += 1
             return count
 
@@ -268,9 +270,7 @@ def crossover_case(sizes=HOST_SIZES, reps: int = 40, seed: int = SEED) -> list:
         def run_fast_warm():
             count = 0
             for p, plan in zip(patterns, warm_plans):
-                for _ in find_isomorphisms(
-                    p, host, backend=MATCH_FAST, context=warm_ctx, plan=plan
-                ):
+                for _ in find_isomorphisms(p, host, context=warm_ctx, plan=plan):
                     count += 1
             return count
 

@@ -15,9 +15,11 @@ where per-task model setup dominates:
   replica index (content-defined match-cache keys make re-admitted
   identical views free; the ≥5x serving claim).
 
-Writes JSON (checked into ``results/runtime_scaling.json``)::
+Writes JSON (checked into ``results/runtime_scaling.json``); the
+warm-index arm imports the reference matcher from ``tests/oracles.py``,
+so the repository root goes on the path too::
 
-    PYTHONPATH=src python benchmarks/bench_runtime_scaling.py \
+    PYTHONPATH=src:. python benchmarks/bench_runtime_scaling.py \
         --out results/runtime_scaling.json
 
 The slow CI lane drives the same functions at smoke scale
@@ -103,16 +105,18 @@ def bench_warm_index(db, model, config: GvexConfig, repeats: int = 10) -> Dict:
     identity cannot short-circuit either arm — and the paper's pattern
     queries run against it.
 
-    Both arms run the *reference* matching backend: the fast tier's
-    process-wide plan cache (docs/matching.md) keys by graph content,
-    so a rebuilt index over deep-copied views answers its posting
-    builds from the shared memo and the rebuild arm collapses toward
-    the warm arm — that cross-request caching is benched by
-    ``bench_matching.py``; this experiment isolates incremental
-    posting maintenance vs rebuild.
+    Both arms match through the reference oracle
+    (``tests.oracles.reference_matching``) and empty the process-wide
+    plan cache (docs/matching.md) at every serve cycle: the cache keys
+    by graph content, so a rebuilt index over deep-copied views would
+    otherwise answer its posting builds from the shared memo and the
+    rebuild arm would collapse toward the warm arm — that cross-request
+    caching is benched by ``bench_matching.py``; this experiment
+    isolates incremental posting maintenance vs rebuild.
     """
-    from repro.config import MATCH_REFERENCE
     from repro.graphs.pattern import Pattern
+    from repro.matching.plan_cache import PLAN_CACHE
+    from tests.oracles import reference_matching
 
     views = run_plan(build_plan(db, model, config))
     # the serve mix: view patterns (eagerly indexed at build) plus
@@ -133,23 +137,25 @@ def bench_warm_index(db, model, config: GvexConfig, repeats: int = 10) -> Dict:
     def query_all(index: ViewIndex) -> int:
         return sum(len(index.select(Q.pattern(p))) for p in patterns)
 
-    fresh_sets = [copy.deepcopy(views) for _ in range(repeats)]
+    with reference_matching():
+        fresh_sets = [copy.deepcopy(views) for _ in range(repeats)]
+        start = time.perf_counter()
+        rebuild_hits = 0
+        for vs in fresh_sets:
+            PLAN_CACHE.clear()
+            rebuild_hits += query_all(ViewIndex(vs, db=db))
+        rebuild_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    rebuild_hits = 0
-    for vs in fresh_sets:
-        rebuild_hits += query_all(ViewIndex(vs, db=db, backend=MATCH_REFERENCE))
-    rebuild_s = time.perf_counter() - start
-
-    warm = ViewIndex(views, db=db, backend=MATCH_REFERENCE)
-    query_all(warm)  # build the posting lists once
-    fresh_sets = [copy.deepcopy(views) for _ in range(repeats)]
-    start = time.perf_counter()
-    warm_hits = 0
-    for vs in fresh_sets:
-        warm.patch_views(vs)
-        warm_hits += query_all(warm)
-    warm_s = time.perf_counter() - start
+        warm = ViewIndex(views, db=db)
+        query_all(warm)  # build the posting lists once
+        fresh_sets = [copy.deepcopy(views) for _ in range(repeats)]
+        start = time.perf_counter()
+        warm_hits = 0
+        for vs in fresh_sets:
+            PLAN_CACHE.clear()
+            warm.patch_views(vs)
+            warm_hits += query_all(warm)
+        warm_s = time.perf_counter() - start
 
     assert warm_hits == rebuild_hits, "warm index must answer identically"
     return {

@@ -38,15 +38,7 @@ from repro.api import (
     pattern_from_spec,
 )
 from repro.api.server import DEFAULT_HOST, DEFAULT_PORT
-from repro.config import (
-    BACKEND_BATCHED,
-    MATCH_FAST,
-    MATCHING_BACKENDS,
-    STREAM_INC_MODES,
-    STREAM_INCREMENTAL,
-    VERIFIER_BACKENDS,
-    GvexConfig,
-)
+from repro.config import RETIRED_FIELDS, GvexConfig
 from repro.datasets.registry import DATASETS
 from repro.datasets.statistics import statistics_table
 from repro.graphs.pattern import Pattern
@@ -54,6 +46,14 @@ from repro.metrics.capability import capability_table
 
 #: exposed for tests that need to discover a ``serve --port 0`` binding
 _SERVE_STATE: Dict[str, object] = {}
+
+#: retired ``explain`` flags -> the retired config field each one set;
+#: accepted (hidden from ``--help``) as warning no-ops for one cycle
+_RETIRED_FLAGS = {
+    "--backend": "verifier_backend",
+    "--matching-backend": "matching_backend",
+    "--stream-inc": "stream_inc",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,30 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--gamma", type=float, default=0.5)
     p_explain.add_argument("--lower", type=int, default=0)
     p_explain.add_argument("--upper", type=int, default=6)
-    p_explain.add_argument(
-        "--backend",
-        choices=list(VERIFIER_BACKENDS),
-        default=BACKEND_BATCHED,
-        help="EVerify scheduling: batched (default) or the serial reference; "
-        "both produce identical views (see docs/verification.md)",
-    )
-    p_explain.add_argument(
-        "--matching-backend",
-        choices=list(MATCHING_BACKENDS),
-        default=MATCH_FAST,
-        help="PMatch backend: fast (default; bitset contexts + plan "
-        "cache) or the pure-Python reference; both produce identical "
-        "views (see docs/matching.md)",
-    )
-    p_explain.add_argument(
-        "--stream-inc",
-        choices=list(STREAM_INC_MODES),
-        default=STREAM_INCREMENTAL,
-        help="IncEVerify schedule for --method stream: extend persistent "
-        "influence/diversity accumulators per chunk (incremental, default) "
-        "or re-derive the oracle on the seen prefix (rebuild); both select "
-        "identical views (see docs/streaming.md)",
-    )
+    for flag, name in _RETIRED_FLAGS.items():
+        p_explain.add_argument(
+            flag, dest=name, choices=RETIRED_FIELDS[name], help=argparse.SUPPRESS
+        )
     p_explain.add_argument(
         "--labels", type=int, nargs="*", help="labels of interest (default: all)"
     )
@@ -504,13 +484,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "explain":
+        for flag, name in _RETIRED_FLAGS.items():
+            if getattr(args, name) is not None:
+                print(f"warning: {flag} is retired and has no effect", file=sys.stderr)
         config = GvexConfig(
-            theta=args.theta,
-            radius=args.radius,
-            gamma=args.gamma,
-            verifier_backend=args.backend,
-            matching_backend=args.matching_backend,
-            stream_inc=args.stream_inc,
+            theta=args.theta, radius=args.radius, gamma=args.gamma
         ).with_bounds(args.lower, args.upper)
         shard_stats = None
         if args.shard_stats:

@@ -25,12 +25,8 @@ from repro.config import (
 )
 from repro.core.explainability import ExplainabilityOracle, SelectionState
 from repro.core.psum import summarize
-from repro.core.verifiers import (
-    _AUTO,
-    GnnVerifier,
-    make_verifier,
-    vp_extend_frontier,
-)
+from repro.core import verifiers
+from repro.core.verifiers import _AUTO, GnnVerifier, vp_extend_frontier
 from repro.gnn.model import GnnClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -107,7 +103,8 @@ def explain_graph(
 
     if oracle is None:
         oracle = ExplainabilityOracle(model, graph, config)
-    verifier = make_verifier(model, graph, config, original_label=predicted)
+    # looked up on the module: the serial-verifier test oracle swaps it
+    verifier = verifiers.make_verifier(model, graph, original_label=predicted)
     state = oracle.new_state()
     for v in seed_nodes:
         if len(state.selected) < upper:
@@ -118,10 +115,7 @@ def explain_graph(
     if mode == VERIFY_PAPER:
         _grow_paper_mode(graph, verifier, oracle, state, backup, label, lower, upper)
     else:
-        _grow_lazy(
-            graph, verifier, oracle, state, backup, label, lower, upper, mode,
-            matching_backend=config.matching_backend,
-        )
+        _grow_lazy(graph, verifier, oracle, state, backup, label, lower, upper, mode)
 
     # lower-bound phase: keep growing from the backup pool (lines 10-15),
     # verifying the whole pool as one frontier per round
@@ -171,7 +165,6 @@ def _grow_lazy(
     lower: int,
     upper: int,
     mode: str,
-    matching_backend: Optional[str] = None,
 ) -> None:
     """Lazy-greedy growth for the soft/none modes.
 
@@ -272,7 +265,6 @@ def _grow_lazy(
                         graph,
                         state.selected,
                         {v: pool[v] for v in top},
-                        backend=matching_backend,
                     )
                     if len(top) > 1
                     else {v: True for v in top}
@@ -306,7 +298,6 @@ def _pattern_novelty(
     graph: Graph,
     selected: Set[int],
     pool: Dict[int, float],
-    backend: Optional[str] = None,
 ) -> Dict[int, bool]:
     """Whether each candidate contributes a new (>=2-node) pattern.
 
@@ -323,7 +314,7 @@ def _pattern_novelty(
     sel_sub, _ = graph.induced_subgraph(selected)
     known = [
         m.pattern
-        for m in mine_patterns([sel_sub], max_size=3, backend=backend)
+        for m in mine_patterns([sel_sub], max_size=3)
     ]
     known.extend(
         Pattern.singleton(int(t))
@@ -339,7 +330,6 @@ def _pattern_novelty(
             radius=2,
             known=known,
             max_size=3,
-            backend=backend,
         )
         out[v] = any(p.n_nodes >= 2 for p in delta)
     return out
@@ -358,8 +348,8 @@ def _grow_paper_mode(
     """Literal Algorithm 1 loop: re-verify every candidate each round.
 
     Each round verifies the entire remaining-node frontier in one
-    ``vp_extend_frontier`` call — two stacked forward passes under the
-    batched backend instead of two per candidate.
+    ``vp_extend_frontier`` call — two stacked forward passes per round
+    instead of two per candidate.
     """
     while len(state.selected) < upper:
         candidates = [v for v in graph.nodes() if v not in state.selected]

@@ -26,14 +26,13 @@ arriving nodes interleave with old ones; every accumulator is scattered
 into the new index space (a pure permutation — values are untouched)
 before the extension is applied.
 
-The engine's oracles are *mathematically equal* to the per-chunk
-rebuild (``GvexConfig.stream_inc = "rebuild"``); floating-point
-round-off may differ in the last ulps, which the thresholded relations
-``I2 ≥ θ`` and ``d ≤ r`` absorb. ``tests/test_stream_incremental.py``
-enforces selection parity over the dataset zoo; docs/streaming.md
-documents the contract and when rebuild mode is required (exact
-Jacobians re-derive per chunk via the fallback counted in
-:class:`OracleStats`).
+The engine's oracles are *mathematically equal* to a per-chunk rebuild
+(the parity oracle in ``tests/oracles.py``); floating-point round-off
+may differ in the last ulps, which the thresholded relations
+``I2 ≥ θ`` and ``d ≤ r`` absorb. docs/streaming.md documents the
+contract — selection parity over the dataset zoo, enforced by the
+IncEVerify parity suite — and the exact-Jacobian case, which re-derives
+per chunk via the fallback counted in :class:`OracleStats`.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ class IncrementalEVerify:
         """Oracle for the grown prefix; incremental when possible."""
         ids = np.asarray(seen_ids, dtype=np.intp)
         if self.config.jacobian != JACOBIAN_EXPECTED:
-            # exact Jacobians have no incremental structure: re-derive,
-            # exactly as rebuild mode would
+            # exact Jacobians have no incremental structure: re-derive
+            # the oracle on the prefix every chunk
             if self._ids is None:
                 self.stats.full_refreshes += 1
             else:

@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import (
-    BACKEND_SERIAL,
     GvexConfig,
     VERIFY_NONE,
     VERIFY_PAPER,
@@ -53,11 +52,11 @@ class GnnVerifier:
     """Cached GNN inference on node subsets of one graph (``EVerify``).
 
     ``inference_calls`` counts forward-pass launches (one per memo-cache
-    miss for this serial reference backend); ``subsets_evaluated``
-    counts the node subsets those launches covered. For the serial
-    backend the two are equal — :class:`BatchedGnnVerifier` launches
-    one stacked pass per frontier, so its ``inference_calls`` is much
-    smaller for the same ``subsets_evaluated``.
+    miss for this serial verifier); ``subsets_evaluated`` counts the
+    node subsets those launches covered. Here the two are equal —
+    :class:`BatchedGnnVerifier` launches one stacked pass per frontier,
+    so its ``inference_calls`` is much smaller for the same
+    ``subsets_evaluated``.
     """
 
     #: whether prefetches are filled with stacked batch passes
@@ -350,20 +349,14 @@ class BatchedGnnVerifier(GnnVerifier):
 
 
 def make_verifier(
-    model: GnnClassifier,
-    graph: Graph,
-    config: Optional[GvexConfig] = None,
-    original_label: object = _AUTO,
+    model: GnnClassifier, graph: Graph, original_label: object = _AUTO
 ) -> GnnVerifier:
-    """``EVerify`` instance for ``config.verifier_backend``.
+    """The ``EVerify`` instance the explain loops use (batched).
 
-    Defaults to the batched backend when no config is given.
     ``original_label`` seeds ``M(G)`` when the caller already computed
     it (e.g. from a stacked :meth:`GnnClassifier.predict_db` pass over
     the shard), skipping the per-graph forward.
     """
-    if config is not None and config.verifier_backend == BACKEND_SERIAL:
-        return GnnVerifier(model, graph, original_label=original_label)
     return BatchedGnnVerifier(model, graph, original_label=original_label)
 
 
@@ -475,7 +468,7 @@ def verify_view(
     # C1: patterns cover all subgraph nodes
     hosts = [s.subgraph for s in view.subgraphs]
     if hosts:
-        index = CoverageIndex(hosts, backend=config.matching_backend)
+        index = CoverageIndex(hosts)
         c1 = index.covers_all_nodes(view.patterns)
     else:
         c1 = not view.patterns  # empty view is vacuously a graph view

@@ -1,10 +1,8 @@
 """Matching substrate: induced subgraph isomorphism and pattern coverage.
 
-Two backends (``GvexConfig.matching_backend``, process default
-:func:`set_default_backend`): the ``"reference"`` pure-Python VF2 and
-the ``"fast"`` bitset tier — per-host :class:`MatchContext`\\ s, a
+One int-bitset VF2 engine over per-host :class:`MatchContext`\\ s, a
 process-wide :data:`PLAN_CACHE`, and database-batched :func:`pmatch`.
-Both enumerate matchings in the same deterministic order; see
+Matchings enumerate in one deterministic order; see
 ``docs/matching.md`` for the contract.
 """
 
@@ -27,10 +25,7 @@ from repro.matching.isomorphism import (
     are_isomorphic,
     find_isomorphisms,
     first_isomorphism,
-    get_default_backend,
     is_subgraph_isomorphic,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache
 
@@ -53,7 +48,4 @@ __all__ = [
     "PLAN_CACHE",
     "graph_content_key",
     "matching_order",
-    "get_default_backend",
-    "set_default_backend",
-    "resolve_backend",
 ]

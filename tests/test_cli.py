@@ -125,9 +125,10 @@ class TestPipeline:
     def test_explain_matching_backend_and_shard_stats(
         self, artifacts, tmp_path, capsys
     ):
-        """--matching-backend reference + --shard-stats produce the
-        same views as the default fast run (the backend contract), and
-        a missing stats file is a clean error."""
+        """The retired --matching-backend flag is accepted with a
+        warning and changes nothing; --shard-stats produces the same
+        views as the default run, and a missing stats file is a clean
+        error."""
         import json
 
         model_path, views_path = artifacts
@@ -153,6 +154,7 @@ class TestPipeline:
             )
             == 0
         )
+        assert "--matching-backend is retired" in capsys.readouterr().err
         reference = load_views(out)
         default = load_views(views_path)
         assert reference.labels == default.labels
@@ -163,6 +165,7 @@ class TestPipeline:
             assert [p.key() for p in reference[label].patterns] == [
                 p.key() for p in default[label].patterns
             ]
+        assert out.read_bytes() == views_path.read_bytes()
         with pytest.raises(SystemExit):
             main(
                 [

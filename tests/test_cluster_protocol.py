@@ -179,6 +179,12 @@ def test_goldens_decode():
     for msg_type in wire.MESSAGE_TYPES:
         payload = json.loads((GOLDEN_DIR / f"{msg_type}.json").read_bytes())
         wire.DECODERS[msg_type](payload)
+    # a dispatch from a coordinator that still sends the retired
+    # backend keys (the pre-retirement bytes) decodes to the same config
+    legacy = json.loads((GOLDEN_DIR / "dispatch.legacy.json").read_bytes())
+    with pytest.warns(DeprecationWarning):
+        msg = wire.decode_dispatch(legacy)
+    assert msg.config.to_dict() == sample_config().to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Reference-vs-fast matcher parity (the ``matching_backend`` contract).
+"""Matcher-vs-oracle parity (the ``PMatch`` oracle contract).
 
-The fast backend (bitset VF2 over per-host :class:`MatchContext`\\ s,
+The matcher (int-bitset VF2 over per-host :class:`MatchContext`\\ s,
 process-wide plan cache, database-batched ``pmatch``) must be *bit-
-identical* to the pure-Python reference everywhere its results are
-observable:
+identical* to the pure-Python reference search in ``tests/oracles.py``
+everywhere its results are observable:
 
 * mapping streams — identical sequences (same matchings, same order,
   same truncation under ``limit``);
@@ -15,8 +15,10 @@ observable:
   dataset zoo.
 
 A hypothesis property drives the mapping-stream check over random
-typed patterns and hosts (directed and undirected, typed edges); zoo
-tests pin the end-to-end pipeline. Pruning (degree bounds, type
+typed patterns and hosts (directed and undirected, typed edges, from a
+few nodes to sparse hosts of 60-140 nodes, eager and lazily filled
+rows); zoo tests pin the end-to-end pipeline by routing the product
+through the oracle (:func:`tests.oracles.reference_matching`). Pruning (degree bounds, type
 signatures) may only ever *skip doomed subtrees*, so any divergence is
 a soundness bug, not a tolerance issue.
 """
@@ -29,35 +31,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MATCH_FAST, MATCH_REFERENCE, GvexConfig
+from repro.config import GvexConfig
 from repro.core.approx import explain_database
-from repro.exceptions import ConfigurationError, MatchingError
+from repro.exceptions import ConfigurationError
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import Pattern
-from repro.matching import bitset
 from repro.matching.context import MatchContext, MatchPlan, graph_content_key
-from repro.matching.coverage import CoverageIndex, match_coverage, pmatch
+from repro.matching.coverage import CoverageIndex, pmatch
 from repro.matching.incremental import IncrementalMatcher
-from repro.matching.isomorphism import (
-    find_isomorphisms,
-    get_default_backend,
-    set_default_backend,
-)
-from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache
+from repro.matching.isomorphism import find_isomorphisms
+from repro.matching.plan_cache import PLAN_CACHE, MatchPlanCache, _coverage_local
 from repro.mining.pgen import mine_patterns
 from repro.query import Q, ViewIndex
 from repro.datasets.registry import DATASETS, dataset_info, load_dataset
 from repro.gnn.model import GnnClassifier
+from tests.oracles import (
+    find_isomorphisms_reference,
+    match_coverage_reference,
+    reference_matching,
+)
 
 ZOO = sorted(DATASETS)
 
 
-@pytest.fixture()
-def forced_backend():
-    """Restore the process default backend after a test flips it."""
-    previous = get_default_backend()
-    yield set_default_backend
-    set_default_backend(previous)
+class LazyContext(MatchContext):
+    """A context that fills its int rows on first touch at any width."""
+
+    LAZY_ROW_THRESHOLD = -1
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +94,39 @@ def typed_graphs(draw, max_nodes=9, max_types=3, directed=None):
 
 
 @st.composite
+def sparse_graphs(draw, min_nodes=60, max_nodes=140, max_types=3):
+    """Wide sparse hosts: more than one 64-bit word per row."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    is_directed = draw(st.booleans())
+    g = Graph([rng.randrange(max_types) for _ in range(n)], directed=is_directed)
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, rng.randrange(2))
+    return g
+
+
+@st.composite
+def wide_pattern_host_pairs(draw):
+    """A sparse wide host and a connected pattern induced from it."""
+    host = draw(sparse_graphs())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    nodes = [rng.randrange(host.n_nodes)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        frontier = sorted(
+            {w for v in nodes for w in host.all_neighbors(v)} - set(nodes)
+        )
+        if not frontier:
+            break
+        nodes.append(rng.choice(frontier))
+    return Pattern.from_induced(host, sorted(nodes)), host
+
+
+@st.composite
 def pattern_host_pairs(draw):
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        return draw(wide_pattern_host_pairs())
     host = draw(typed_graphs())
     pn = draw(st.integers(min_value=1, max_value=min(4, host.n_nodes + 1)))
     pg = Graph(
@@ -129,73 +161,43 @@ def pattern_host_pairs(draw):
 @given(pair=pattern_host_pairs(), limit=st.sampled_from([None, 1, 2, 7]))
 def test_match_streams_bit_identical(pair, limit):
     pattern, host = pair
-    ref = list(
-        find_isomorphisms(pattern, host, limit=limit, backend=MATCH_REFERENCE)
-    )
-    fast = list(
-        find_isomorphisms(pattern, host, limit=limit, backend=MATCH_FAST)
-    )
+    ref = list(find_isomorphisms_reference(pattern, host, limit=limit))
+    fast = list(find_isomorphisms(pattern, host, limit=limit))
     assert fast == ref  # same matchings, same order, same dict layout
-    # force the bitset path too (plain small-host calls delegate to the
-    # reference search; a supplied context/plan must not change output)
-    bitset_path = list(
-        find_isomorphisms(
-            pattern,
-            host,
-            limit=limit,
-            backend=MATCH_FAST,
-            context=MatchContext(host),
-            plan=MatchPlan(pattern),
+    # a supplied context/plan, eager or lazily filled, must not change
+    # the output either
+    for ctx in (MatchContext(host), LazyContext(host)):
+        carried = list(
+            find_isomorphisms(
+                pattern, host, limit=limit, context=ctx, plan=MatchPlan(pattern)
+            )
         )
-    )
-    assert bitset_path == ref
+        assert carried == ref
 
 
 @settings(max_examples=60, deadline=None)
 @given(pair=pattern_host_pairs(), cap=st.sampled_from([1, 3, 10_000]))
 def test_coverage_bit_identical(pair, cap):
     pattern, host = pair
-    ref = match_coverage(pattern, host, 4, cap, backend=MATCH_REFERENCE)
+    ref = match_coverage_reference(pattern, host, 4, cap)
     # bypass the shared canonical registry: coverage under a truncating
-    # cap is defined over the *exact* pattern labelling, so the fast
+    # cap is defined over the *exact* pattern labelling, so the cached
     # path is checked through a private cache seeded with this pattern
     cache = MatchPlanCache()
     nodes, edges = cache.coverage(pattern, host, cap)
     assert frozenset((4, v) for v in nodes) == ref.nodes
     assert frozenset((4, e) for e in edges) == ref.edges
+    # and over a lazily filled context
+    nodes, edges = _coverage_local(
+        pattern, MatchPlan(pattern), LazyContext(host), host, cap
+    )
+    assert frozenset((4, v) for v in nodes) == ref.nodes
+    assert frozenset((4, e) for e in edges) == ref.edges
 
 
 # ----------------------------------------------------------------------
-# bitset / context units
+# context units
 # ----------------------------------------------------------------------
-class TestBitset:
-    def test_pack_roundtrip(self):
-        import numpy as np
-
-        mask = np.zeros(130, dtype=bool)
-        idx = [0, 1, 63, 64, 65, 127, 128, 129]
-        mask[idx] = True
-        words = bitset.from_bool(mask)
-        assert list(bitset.iter_bits(words)) == idx
-        assert bitset.popcount(words) == len(idx)
-        assert words.shape == (bitset.n_words(130),)
-
-    def test_set_clear_test(self):
-        words = bitset.zeros(100)
-        bitset.set_bit(words, 77)
-        assert bitset.test_bit(words, 77)
-        assert not bitset.test_bit(words, 76)
-        bitset.clear_bit(words, 77)
-        assert bitset.popcount(words) == 0
-
-    def test_from_indices_matches_from_bool(self):
-        import numpy as np
-
-        mask = np.zeros(70, dtype=bool)
-        mask[[3, 64, 69]] = True
-        assert list(bitset.from_indices([3, 64, 69], 70)) == list(
-            bitset.from_bool(mask)
-        )
 
 
 class TestContext:
@@ -213,17 +215,24 @@ class TestContext:
         )
 
     def test_lazy_rows_equal_eager(self):
-        g = Graph([0] * 5, directed=True)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.add_edge(3, 1)
-        eager = MatchContext(g)
-        lazy = MatchContext(g)
-        lazy._all_rows = lazy._out_rows = lazy._in_rows = None  # force lazy
-        for v in range(5):
-            assert list(eager.all_row(v)) == list(lazy.all_row(v))
-            assert list(eager.out_row(v)) == list(lazy.out_row(v))
-            assert list(eager.in_row(v)) == list(lazy.in_row(v))
+        for n, directed in [(5, True), (5, False), (130, True), (130, False)]:
+            g = Graph([0] * n, directed=directed)
+            for u, v, t in [(0, 1, 0), (1, 2, 1), (3, 1, 0), (n - 1, 0, 1)]:
+                g.add_edge(u, v, t)
+            eager, lazy = MatchContext(g), LazyContext(g)
+            kinds = ("all", "out", "in") if directed else ("all",)
+            typed = [("o", 0), ("o", 1), ("i", 0), ("i", 1)] if directed else [
+                ("", 0), ("", 1)
+            ]
+            for v in range(n):
+                for kind in kinds:
+                    assert eager.rows(kind)[v] == lazy.rows(kind)[v]
+                for direction, etype in typed:
+                    assert (
+                        eager.typed_rows(direction, etype)[v]
+                        == lazy.typed_rows(direction, etype)[v]
+                    )
+            assert eager.rows("all")[0] == (1 << 1) | (1 << (n - 1))
 
     def test_prefilter_rejects_impossible_types(self):
         host = Graph([0, 0, 1])
@@ -360,9 +369,9 @@ def test_pmatch_equals_per_host(hosts, pair):
     if pattern.graph.directed:
         pattern = Pattern.singleton(0)
     group = hosts + [extra]
-    batched = pmatch(pattern, group, backend=MATCH_FAST)
+    batched = pmatch(pattern, group)
     for h, host in enumerate(group):
-        single = match_coverage(pattern, host, h, backend=MATCH_REFERENCE)
+        single = match_coverage_reference(pattern, host, h)
         assert batched[h].nodes == single.nodes
         assert batched[h].edges == single.edges
 
@@ -374,8 +383,9 @@ def test_pmatch_equals_per_host(hosts, pair):
 @given(hosts=st.lists(typed_graphs(max_nodes=6), min_size=1, max_size=3))
 def test_mined_patterns_bit_identical(hosts):
     hosts = [h for h in hosts if not h.directed] or [Graph([0, 0])]
-    ref = mine_patterns(hosts, max_size=3, backend=MATCH_REFERENCE)
-    fast = mine_patterns(hosts, max_size=3, backend=MATCH_FAST)
+    with reference_matching():
+        ref = mine_patterns(hosts, max_size=3)
+    fast = mine_patterns(hosts, max_size=3)
     assert [
         (m.pattern.graph.node_types.tolist(), m.pattern.graph.edge_types,
          m.support, m.embeddings)
@@ -389,20 +399,23 @@ def test_mined_patterns_bit_identical(hosts):
 
 def test_incremental_matcher_backends_agree():
     tri = Pattern.from_parts([0, 0, 0], [(0, 1), (1, 2), (0, 2)])
-    streams = {}
-    for backend in (MATCH_REFERENCE, MATCH_FAST):
-        inc = IncrementalMatcher(backend=backend)
+
+    def stream():
+        inc = IncrementalMatcher()
         inc.register(tri)
         inc.add_node(0)
         inc.add_node(0, edges=[(0, 0)])
         inc.add_node(0, edges=[(0, 0), (1, 0)])
         inc.add_node(1, edges=[(2, 0)])
-        streams[backend] = (
+        return (
             inc.covered_nodes(tri),
             inc.covered_edges(tri),
             inc.union_covered_nodes(),
         )
-    assert streams[MATCH_REFERENCE] == streams[MATCH_FAST]
+
+    with reference_matching():
+        ref = stream()
+    assert stream() == ref
 
 
 # ----------------------------------------------------------------------
@@ -428,21 +441,13 @@ def view_fingerprint(views):
 
 
 @pytest.mark.parametrize("dataset", ZOO)
-def test_zoo_views_and_queries_bit_identical(dataset, forced_backend):
+def test_zoo_views_and_queries_bit_identical(dataset):
     db, model = zoo_setup(dataset)
-    config = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 5)
-    results = {}
-    for backend in (MATCH_REFERENCE, MATCH_FAST):
-        forced_backend(backend)
-        cfg = GvexConfig(
-            theta=0.08,
-            radius=0.3,
-            gamma=0.5,
-            matching_backend=backend,
-            default_coverage=config.default_coverage,
-        )
+    cfg = GvexConfig(theta=0.08, radius=0.3, gamma=0.5).with_bounds(0, 5)
+
+    def run():
         views = explain_database(db, model, cfg)
-        index = ViewIndex(views, db=db, backend=backend)
+        index = ViewIndex(views, db=db)
         patterns = [p for view in views for p in view.patterns]
         queries = []
         for p in patterns:
@@ -451,32 +456,27 @@ def test_zoo_views_and_queries_bit_identical(dataset, forced_backend):
             occs = index.select(Q.pattern(p) & Q.in_scope("graphs"))
             queries.append([(o.label, o.graph_index, o.in_explanation) for o in occs])
         hosts = [s.subgraph for view in views for s in view.subgraphs]
-        cov = CoverageIndex(hosts, backend=backend)
+        cov = CoverageIndex(hosts)
         coverage = [
             (sorted(cov.coverage(p).nodes), sorted(cov.coverage(p).edges))
             for p in patterns
         ]
-        results[backend] = (view_fingerprint(views), queries, coverage)
-    assert results[MATCH_FAST] == results[MATCH_REFERENCE]
+        return view_fingerprint(views), queries, coverage
+
+    with reference_matching():
+        ref = run()
+    assert run() == ref
 
 
 # ----------------------------------------------------------------------
-# backend selection plumbing
+# retired backend key
 # ----------------------------------------------------------------------
 def test_unknown_backend_rejected():
-    with pytest.raises(MatchingError):
-        find_isomorphisms(
-            Pattern.singleton(0), Graph([0]), backend="vectorized"
-        )
+    """The retired ``matching_backend`` key still validates its value."""
     with pytest.raises(ConfigurationError):
-        GvexConfig(matching_backend="vectorized")
-
-
-def test_default_backend_round_trip(forced_backend):
-    assert get_default_backend() in (MATCH_FAST, MATCH_REFERENCE)
-    previous = forced_backend(MATCH_REFERENCE)
-    assert get_default_backend() == MATCH_REFERENCE
-    forced_backend(previous)
+        GvexConfig.from_dict({"matching_backend": "vectorized"})
+    with pytest.warns(DeprecationWarning):
+        assert GvexConfig.from_dict({"matching_backend": "reference"}) == GvexConfig()
 
 
 def test_global_plan_cache_is_shared():

@@ -3,7 +3,8 @@
 The incremental engine's contract mirrors the batched verifier's
 (docs/streaming.md, docs/verification.md): extending the persistent
 influence/diversity accumulators when a chunk arrives must select
-*identical* views to re-deriving the oracle on the seen prefix, while
+*identical* views to re-deriving the oracle on the seen prefix (the
+rebuild oracle in ``tests/oracles.py``), while
 issuing strictly fewer full oracle refreshes per stream. Checked at
 three levels:
 
@@ -28,16 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import (
-    BACKEND_BATCHED,
-    BACKEND_SERIAL,
-    JACOBIAN_EXACT,
-    STREAM_INCREMENTAL,
-    STREAM_REBUILD,
-    GvexConfig,
-    VERIFY_PAPER,
-    VERIFY_SOFT,
-)
+from repro.config import JACOBIAN_EXACT, GvexConfig, VERIFY_PAPER, VERIFY_SOFT
 from repro.core.explainability import ExplainabilityOracle
 from repro.core.inc_everify import IncrementalEVerify
 from repro.core.streaming import StreamGvex
@@ -48,9 +40,14 @@ from repro.gnn.batch import extension_index_matrix, normalize_subsets
 from repro.gnn.model import CONV_TYPES, GnnClassifier
 from repro.graphs.graph import Graph
 from repro.utils.rng import ensure_rng
+from tests.oracles import rebuild_inc_everify, serial_everify
 
 GRAPHS_PER_DATASET = 2
 ZOO = sorted(DATASETS)
+
+#: ``IncEVerify`` schedules: the rebuild oracle and the product engine
+STREAM_REBUILD = "rebuild"
+STREAM_INCREMENTAL = "incremental"
 
 
 def stream_fingerprint(result):
@@ -66,7 +63,10 @@ def stream_fingerprint(result):
 
 
 def run_stream(model, graph, label, config, inc, **kwargs):
-    algo = StreamGvex(model, replace(config, stream_inc=inc), seed=0)
+    algo = StreamGvex(model, config, seed=0)
+    if inc == STREAM_REBUILD:
+        with rebuild_inc_everify():
+            return algo.explain_graph_stream(graph, label, **kwargs)
     return algo.explain_graph_stream(graph, label, **kwargs)
 
 
@@ -115,23 +115,28 @@ def test_stream_inc_parity_across_zoo(dataset, mode):
 
 
 @pytest.mark.parametrize("mode", [VERIFY_PAPER, VERIFY_SOFT])
-@pytest.mark.parametrize("backend", [BACKEND_SERIAL, BACKEND_BATCHED])
+@pytest.mark.parametrize("backend", ["serial", "batched"])
 def test_stream_inc_parity_trained_model(
     trained_model, mutagen_db, mode, backend
 ):
-    """Same contract on a trained classifier, across verifier backends
-    (all four stream_inc × verifier_backend combinations agree)."""
+    """Same contract on a trained classifier, across verifiers (all
+    four IncEVerify × EVerify combinations agree)."""
     config = replace(
-        GvexConfig(
-            theta=0.08, radius=0.3, verification=mode, verifier_backend=backend
-        ).with_bounds(0, 6),
+        GvexConfig(theta=0.08, radius=0.3, verification=mode).with_bounds(0, 6),
         stream_batch_size=3,
     )
     for idx in (0, 1, 5):
         graph = mutagen_db[idx]
         label = trained_model.predict(graph)
-        rr = run_stream(trained_model, graph, label, config, STREAM_REBUILD)
-        ri = run_stream(trained_model, graph, label, config, STREAM_INCREMENTAL)
+        if backend == "serial":
+            with serial_everify():
+                rr = run_stream(trained_model, graph, label, config, STREAM_REBUILD)
+                ri = run_stream(
+                    trained_model, graph, label, config, STREAM_INCREMENTAL
+                )
+        else:
+            rr = run_stream(trained_model, graph, label, config, STREAM_REBUILD)
+            ri = run_stream(trained_model, graph, label, config, STREAM_INCREMENTAL)
         assert stream_fingerprint(ri) == stream_fingerprint(rr), (mode, idx)
         if len(rr.snapshots) > 1:
             assert (
@@ -210,8 +215,11 @@ def test_large_prefix_uses_sparse_influence(
 
 
 def test_stream_inc_config_validated():
+    """The retired ``stream_inc`` key still validates its value."""
     with pytest.raises(ConfigurationError):
-        GvexConfig(stream_inc="bogus")
+        GvexConfig.from_dict({"stream_inc": "bogus"})
+    with pytest.warns(DeprecationWarning):
+        assert GvexConfig.from_dict({"stream_inc": "rebuild"}) == GvexConfig()
 
 
 # ----------------------------------------------------------------------
